@@ -1,7 +1,6 @@
 // Microbenchmarks of every gradient filter across (n, d) shapes, charting
-// the per-round server cost — and, since the batched aggregation engine
-// landed, comparing the legacy span path against the zero-allocation
-// aggregate_into path in the same binary.
+// the per-round server cost of the zero-allocation aggregate_into path in
+// its exact, fast and f32 configurations.
 //
 // The primary harness is built in (adaptive-iteration wall-clock timing) so
 // the binary works without google-benchmark and always emits a
@@ -10,11 +9,10 @@
 //   {"meta": {"repeats": K},
 //    "results": [{"rule", "path", "precision", "n", "d", "f", "ns_per_op",
 //                 "iters"}, ...],
-//    "speedups": {"<rule>/<n>x<d>": {"legacy_ns", "batched_ns", "speedup",
-//                                    "fast_ns", "fast_speedup",
+//    "speedups": {"<rule>/<n>x<d>": {"batched_ns", "fast_ns", "fast_speedup",
 //                                    "f32_ns", "f32_speedup"}}}
 //
-// Paths: "legacy" (span API), "batched" (aggregate_into, AggMode::exact),
+// Paths: "batched" (aggregate_into, AggMode::exact),
 // "fast" (aggregate_into, AggMode::fast — relaxed parity; measured at both
 // precision "f64" and, for the rules with an f32 kernel, precision "f32"),
 // and optionally "pooled" (see --threads).  fast_speedup is
@@ -61,21 +59,18 @@ namespace {
 using namespace abft;
 using linalg::Vector;
 
-std::vector<Vector> make_gradients(int n, int d, std::uint64_t seed) {
+agg::GradientBatch make_batch(int n, int d, std::uint64_t seed) {
   util::Rng rng(seed);
-  std::vector<Vector> gradients;
-  gradients.reserve(static_cast<std::size_t>(n));
+  agg::GradientBatch batch(n, d);
   for (int i = 0; i < n; ++i) {
-    std::vector<double> coeffs(static_cast<std::size_t>(d));
-    for (auto& c : coeffs) c = rng.normal();
-    gradients.emplace_back(std::move(coeffs));
+    for (auto& c : batch.row(i)) c = rng.normal();
   }
-  return gradients;
+  return batch;
 }
 
 struct BenchResult {
   std::string rule;
-  std::string path;       // "legacy" | "batched" | "fast" | "pooled"
+  std::string path;       // "batched" | "fast" | "pooled"
   std::string precision;  // "f64" | "f32" (f32 only on the fast path)
   int n = 0;
   int d = 0;
@@ -85,7 +80,6 @@ struct BenchResult {
 };
 
 struct SpeedupEntry {
-  double legacy_ns = 0.0;
   double batched_ns = 0.0;
   double fast_ns = 0.0;
   double f32_ns = 0.0;
@@ -166,12 +160,14 @@ int run_builtin(bool quick, const std::string& out_path, int threads, int repeat
       const int n = shape.n;
       const int d = shape.d;
       const int f = std::max(1, n / 5);
-      const auto gradients = make_gradients(n, d, 42);
+      const auto batch = make_batch(n, d, 42);
+      agg::AggregatorWorkspace workspace;
+      Vector out;
 
       // Some rules reject certain (n, f) shapes (krum: n > 2f+2; bulyan:
       // n >= 4f+3); probe once and skip instead of aborting the binary.
       try {
-        (void)rule->aggregate(gradients, f);
+        rule->aggregate_into(out, batch, f, workspace);
       } catch (const std::invalid_argument&) {
         continue;
       }
@@ -179,26 +175,12 @@ int run_builtin(bool quick, const std::string& out_path, int threads, int repeat
       const std::string key =
           std::string(name) + "/" + std::to_string(n) + "x" + std::to_string(d);
 
-      BenchResult legacy{std::string(name), "legacy", "f64", n, d, f, 0.0, 0};
-      legacy.ns_per_op = min_ns_per_op(
-          [&] {
-            Vector out = rule->aggregate(gradients, f);
-            // The result feeds the next model update in the real loop; fold
-            // it into a sink so the call cannot be optimized away.
-            volatile double sink = out[0];
-            (void)sink;
-          },
-          legacy.iters, min_seconds, min_iters, max_iters, repeats);
-      results.push_back(legacy);
-
-      agg::GradientBatch batch;
-      batch.pack(gradients);
-      agg::AggregatorWorkspace workspace;
-      Vector out;
       BenchResult batched{std::string(name), "batched", "f64", n, d, f, 0.0, 0};
       batched.ns_per_op = min_ns_per_op(
           [&] {
             rule->aggregate_into(out, batch, f, workspace);
+            // The result feeds the next model update in the real loop; fold
+            // it into a sink so the call cannot be optimized away.
             volatile double sink = out[0];
             (void)sink;
           },
@@ -230,11 +212,8 @@ int run_builtin(bool quick, const std::string& out_path, int threads, int repeat
           f32.iters, min_seconds, min_iters, max_iters, repeats);
       results.push_back(f32);
 
-      speedup_pairs[key] = {legacy.ns_per_op, batched.ns_per_op, fast.ns_per_op,
-                            f32.ns_per_op};
-      std::cout << key << "  legacy " << static_cast<long>(legacy.ns_per_op)
-                << " ns/op  batched " << static_cast<long>(batched.ns_per_op)
-                << " ns/op  speedup " << legacy.ns_per_op / batched.ns_per_op << "x"
+      speedup_pairs[key] = {batched.ns_per_op, fast.ns_per_op, f32.ns_per_op};
+      std::cout << key << "  batched " << static_cast<long>(batched.ns_per_op) << " ns/op"
                 << "  fast " << static_cast<long>(fast.ns_per_op) << " ns/op ("
                 << batched.ns_per_op / fast.ns_per_op << "x vs exact)"
                 << "  f32 " << static_cast<long>(f32.ns_per_op) << " ns/op ("
@@ -273,9 +252,7 @@ int run_builtin(bool quick, const std::string& out_path, int threads, int repeat
   json << "  ],\n  \"speedups\": {\n";
   std::size_t written = 0;
   for (const auto& [key, entry] : speedup_pairs) {
-    json << "    \"" << key << "\": {\"legacy_ns\": " << entry.legacy_ns
-         << ", \"batched_ns\": " << entry.batched_ns
-         << ", \"speedup\": " << entry.legacy_ns / entry.batched_ns
+    json << "    \"" << key << "\": {\"batched_ns\": " << entry.batched_ns
          << ", \"fast_ns\": " << entry.fast_ns
          << ", \"fast_speedup\": " << entry.batched_ns / entry.fast_ns
          << ", \"f32_ns\": " << entry.f32_ns
@@ -293,47 +270,35 @@ int run_builtin(bool quick, const std::string& out_path, int threads, int repeat
 }
 
 #if defined(ABFT_HAVE_GBENCH)
-void aggregate_benchmark(benchmark::State& state, const std::string& name, bool batched) {
+void aggregate_benchmark(benchmark::State& state, const std::string& name) {
   const int n = static_cast<int>(state.range(0));
   const int d = static_cast<int>(state.range(1));
   const int f = std::max(1, n / 5);
   const auto rule = agg::make_aggregator(name);
-  const auto gradients = make_gradients(n, d, 42);
+  const auto batch = make_batch(n, d, 42);
+  agg::AggregatorWorkspace workspace;
+  Vector out;
   try {
-    benchmark::DoNotOptimize(rule->aggregate(gradients, f));
+    rule->aggregate_into(out, batch, f, workspace);
   } catch (const std::invalid_argument& error) {
     state.SkipWithError(error.what());
     return;
   }
-  if (batched) {
-    agg::GradientBatch batch;
-    batch.pack(gradients);
-    agg::AggregatorWorkspace workspace;
-    Vector out;
-    for (auto _ : state) {
-      rule->aggregate_into(out, batch, f, workspace);
-      benchmark::DoNotOptimize(out);
-    }
-  } else {
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(rule->aggregate(gradients, f));
-    }
+  for (auto _ : state) {
+    rule->aggregate_into(out, batch, f, workspace);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 
 void register_all() {
   for (const auto name : agg::aggregator_names()) {
-    for (const bool batched : {false, true}) {
-      const std::string title =
-          std::string(batched ? "batched" : "legacy") + "/" + std::string(name);
-      auto* bench = benchmark::RegisterBenchmark(
-          title.c_str(), [name = std::string(name), batched](benchmark::State& state) {
-            aggregate_benchmark(state, name, batched);
-          });
-      bench->Args({10, 10})->Args({10, 1000})->Args({50, 100})->Args({100, 1000})->Args(
-          {50, 10000});
-    }
+    const std::string title = "batched/" + std::string(name);
+    auto* bench = benchmark::RegisterBenchmark(
+        title.c_str(),
+        [name = std::string(name)](benchmark::State& state) { aggregate_benchmark(state, name); });
+    bench->Args({10, 10})->Args({10, 1000})->Args({50, 100})->Args({100, 1000})->Args(
+        {50, 10000});
   }
 }
 #endif  // ABFT_HAVE_GBENCH

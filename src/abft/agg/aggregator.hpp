@@ -2,16 +2,14 @@
 // GradFilter : R^{d x n} -> R^d.  The server hands the filter all n received
 // gradients plus the fault-tolerance parameter f.
 //
-// Two entry points:
-//   aggregate(span, f)                      — the original allocating API.
-//   aggregate_into(out, batch, f, ws)       — the batched hot path: gradients
-//     arrive packed in a contiguous GradientBatch, every rule draws scratch
-//     from the caller's AggregatorWorkspace, and the steady state performs
-//     no heap allocation.  The base class provides an adapter so rules that
-//     only implement the span API keep working.
+// One entry point, aggregate_into(out, batch, f, ws): gradients arrive
+// packed in a contiguous GradientBatch, every rule draws scratch from the
+// caller's AggregatorWorkspace, and the steady state performs no heap
+// allocation.  Naive per-rule reference implementations over
+// std::vector<Vector> live in tests/agg_reference.hpp, where the parity
+// suite holds every rule to them.
 #pragma once
 
-#include <span>
 #include <string_view>
 
 #include "abft/agg/batch.hpp"
@@ -25,22 +23,12 @@ class GradientAggregator {
  public:
   virtual ~GradientAggregator() = default;
 
-  /// Aggregates n received gradients assuming at most f of them are faulty.
-  /// Preconditions (checked): gradients non-empty and equal-dimension,
-  /// 0 <= f, and f small enough for the specific rule (documented per rule).
-  [[nodiscard]] virtual Vector aggregate(std::span<const Vector> gradients, int f) const = 0;
-
-  /// Batched aggregation into a caller-owned output vector.  The default
-  /// implementation adapts through the span API (unpacking the batch, which
-  /// allocates); every registry rule overrides it with an allocation-free
-  /// kernel.  `out` is resized to the batch dimension.
+  /// Aggregates the n rows of `batch` assuming at most f of them are faulty,
+  /// writing the result into the caller-owned `out` (resized to the batch
+  /// dimension).  Preconditions (checked): batch non-empty, 0 <= f < n, and
+  /// f small enough for the specific rule (documented per rule).
   virtual void aggregate_into(Vector& out, const GradientBatch& batch, int f,
-                              AggregatorWorkspace& workspace) const;
-
-  /// Convenience wrapper around aggregate_into for callers that want a fresh
-  /// Vector (tests, examples); not for the hot path.
-  [[nodiscard]] Vector aggregate_batched(const GradientBatch& batch, int f,
-                                         AggregatorWorkspace& workspace) const;
+                              AggregatorWorkspace& workspace) const = 0;
 
   /// The largest f this rule accepts for n gradients (the rule's own
   /// precondition, e.g. n > 2f for CWTM), or -1 when the rule cannot run on
@@ -60,8 +48,5 @@ class GradientAggregator {
   /// Stable identifier, e.g. "cge"; used by the registry and bench labels.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
-
-/// Validates the shared preconditions; returns the common dimension.
-int validate_gradients(std::span<const Vector> gradients, int f);
 
 }  // namespace abft::agg

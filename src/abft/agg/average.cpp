@@ -4,11 +4,6 @@
 
 namespace abft::agg {
 
-Vector AverageAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  validate_gradients(gradients, f);
-  return linalg::mean(gradients);
-}
-
 void AverageAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                        AggregatorWorkspace& /*workspace*/) const {
   const int d = validate_batch(batch, f);

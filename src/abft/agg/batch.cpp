@@ -294,13 +294,6 @@ Vector GradientBatch::unpack_row(int i) const {
   return Vector(std::vector<double>(r.begin(), r.end()));
 }
 
-std::vector<Vector> GradientBatch::unpack() const {
-  std::vector<Vector> out;
-  out.reserve(static_cast<std::size_t>(n_));
-  for (int i = 0; i < n_; ++i) out.push_back(unpack_row(i));
-  return out;
-}
-
 void AggregatorWorkspace::fill_colmajor(const GradientBatch& batch) {
   const int n = batch.rows();
   const int d = batch.cols();

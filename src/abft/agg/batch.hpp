@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,9 +25,10 @@ using linalg::Vector;
 
 /// Numerical contract of the batched kernels.
 ///
-/// `exact` (the default) keeps every kernel bit-compatible with the legacy
-/// span path: same selection tie-breaking, same floating-point summation
-/// order, same convergence schedule.  `fast` relaxes that to *tolerance*
+/// `exact` (the default) keeps every kernel bit-identical to the committed
+/// exact goldens, and within 1e-12 of the reference rules in tests/ (same
+/// selection tie-breaking, same floating-point summation order, same
+/// convergence schedule).  `fast` relaxes that to *tolerance*
 /// parity — kernels may vectorize reductions (independent partial sums),
 /// replace full sorts with nth_element-style partial selection, and take
 /// runtime-dispatched AVX-512 paths.  The (f, eps)-resilience guarantees of
@@ -38,7 +38,7 @@ using linalg::Vector;
 /// <= tol(rule, n, d)) and end-to-end by the fast-mode goldens in
 /// tests/test_golden_e2e.cpp.
 enum class AggMode {
-  exact,  ///< bit-compatible with the span path (the default)
+  exact,  ///< bit-identical to the exact goldens (the default)
   fast,   ///< relaxed parity: vectorized/partial-selection kernels
 };
 
@@ -104,9 +104,6 @@ class GradientBatch {
   /// Copies row i out into a Vector (allocates; not for the hot path).
   [[nodiscard]] Vector unpack_row(int i) const;
 
-  /// Copies the whole batch out into vectors (allocates; adapter/test use).
-  [[nodiscard]] std::vector<Vector> unpack() const;
-
   [[nodiscard]] double* data() noexcept { return data_.data(); }
   [[nodiscard]] const double* data() const noexcept { return data_.data(); }
 
@@ -122,7 +119,7 @@ struct AggregatorWorkspace {
   // --- configuration -------------------------------------------------------
   /// Numerical mode of every kernel drawing scratch from this workspace (see
   /// AggMode).  Drivers thread their config flag through here; the default
-  /// keeps the bit-exact legacy behaviour.
+  /// is the bit-exact mode.
   AggMode mode = AggMode::exact;
 
   /// Element width of the bandwidth-bound fast-mode kernels (see Precision).
@@ -134,20 +131,19 @@ struct AggregatorWorkspace {
     return mode == AggMode::fast && precision == Precision::f32;
   }
 
-  /// Coordinate/pair-level parallel-for width for large d.  1 (the default)
-  /// keeps every kernel single-threaded; drivers thread their config flag
-  /// through here.
+  /// Coordinate/pair-level parallel-for width for large d, effective only
+  /// with a pool.  1 (the default) keeps every kernel single-threaded;
+  /// drivers thread their config flag through here.
   int parallel_threads = 1;
 
   /// Optional persistent thread pool.  When set, every kernel parallel-for
-  /// dispatches over the pool's sleeping workers instead of spawning a fresh
-  /// thread team per call; drivers share one pool between round-level
+  /// dispatches over the pool's sleeping workers; drivers share one pool between round-level
   /// parallelism and the kernels (phases are sequential, so the pool is
   /// never re-entered).  Non-owning: the driver owns the pool.
   ThreadPool* pool = nullptr;
 
-  /// Kernel-side parallel dispatch: pool when available, the spawning
-  /// parallel_for otherwise (compatible with workspaces configured by hand).
+  /// Kernel-side parallel dispatch over the pool; without a pool the whole
+  /// range runs on the calling thread whatever parallel_threads says.
   template <typename Fn>
   void run_parallel(int begin, int end, Fn&& fn);
 
@@ -282,42 +278,12 @@ void resize_output(Vector& out, int d);
 /// two middle elements).  Reorders the range.
 double median_inplace(double* first, double* last);
 
-/// Runs fn(begin_chunk, end_chunk) over [begin, end) split across up to
-/// num_threads std::threads.  num_threads <= 1 (or a tiny range) degenerates
-/// to a direct call on the calling thread — that path is allocation-free
-/// (the callable is a template parameter, not a std::function).  With
-/// num_threads > 1 each call spawns and joins a fresh thread team (tens of
-/// microseconds); hot paths should prefer a persistent ThreadPool (see
-/// threads.hpp) via AggregatorWorkspace::run_parallel — this spawning
-/// fallback remains for ad-hoc workspaces with no pool.  fn must not throw.
-template <typename Fn>
-void parallel_for(int begin, int end, int num_threads, Fn&& fn) {
-  const int range = end - begin;
-  if (range <= 0) return;
-  const int workers = std::min(num_threads, range);
-  if (workers <= 1) {
-    fn(begin, end);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers - 1));
-  const int chunk = (range + workers - 1) / workers;
-  for (int w = 1; w < workers; ++w) {
-    const int lo = begin + w * chunk;
-    const int hi = std::min(lo + chunk, end);
-    if (lo >= hi) break;
-    pool.emplace_back([&fn, lo, hi] { fn(lo, hi); });
-  }
-  fn(begin, std::min(begin + chunk, end));
-  for (auto& t : pool) t.join();
-}
-
 template <typename Fn>
 void AggregatorWorkspace::run_parallel(int begin, int end, Fn&& fn) {
   if (pool != nullptr) {
     pool->parallel_for(begin, end, parallel_threads, std::forward<Fn>(fn));
-  } else {
-    parallel_for(begin, end, parallel_threads, std::forward<Fn>(fn));
+  } else if (begin < end) {
+    fn(begin, end);
   }
 }
 

@@ -92,8 +92,8 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
 
   int removed = -1;
   for (int round = 0; round < theta; ++round) {
-    // The span path's relaxed_scores rejects a pool of fewer than two
-    // gradients (which f = 0 reaches on the final round); mirror it.
+    // Like the reference rule's relaxed Krum scores, reject a pool of fewer
+    // than two gradients (which f = 0 reaches on the final round).
     ABFT_REQUIRE(pool >= 2, "relaxed krum scores need at least two gradients");
     const int neighbors = std::max(1, pool - f - 2);
     int best = -1;
@@ -150,46 +150,6 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
 
 }  // namespace
 
-Vector BulyanAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  const int n = static_cast<int>(gradients.size());
-  ABFT_REQUIRE(n >= 4 * f + 3, "bulyan needs n >= 4f + 3");
-  const int theta = n - 2 * f;
-  const int beta = theta - 2 * f;
-
-  // Stage 1: iterated Krum selection.  The pool shrinks from n to 2f + 1;
-  // relaxed_scores clamps the neighbour count so every round is well-defined.
-  std::vector<Vector> pool(gradients.begin(), gradients.end());
-  std::vector<Vector> selected;
-  selected.reserve(static_cast<std::size_t>(theta));
-  for (int round = 0; round < theta; ++round) {
-    const auto score = KrumAggregator::relaxed_scores(pool, f);
-    const auto best =
-        static_cast<std::size_t>(std::min_element(score.begin(), score.end()) - score.begin());
-    selected.push_back(pool[best]);
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best));
-  }
-
-  // Stage 2: per coordinate, average the beta entries closest to the median.
-  Vector out(dim);
-  std::vector<double> column(selected.size());
-  for (int k = 0; k < dim; ++k) {
-    for (std::size_t i = 0; i < selected.size(); ++i) column[i] = selected[i][k];
-    std::sort(column.begin(), column.end());
-    const std::size_t m = column.size();
-    const double med =
-        (m % 2 == 1) ? column[m / 2] : 0.5 * (column[m / 2 - 1] + column[m / 2]);
-    std::sort(column.begin(), column.end(), [med](double a, double b) {
-      return std::abs(a - med) < std::abs(b - med);
-    });
-    double sum = 0.0;
-    const int take = std::min<int>(beta, static_cast<int>(column.size()));
-    for (int i = 0; i < take; ++i) sum += column[static_cast<std::size_t>(i)];
-    out[k] = sum / static_cast<double>(take);
-  }
-  return out;
-}
-
 void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                       AggregatorWorkspace& ws) const {
   const int d = validate_batch(batch, f);
@@ -211,8 +171,8 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
     ws.pairrow.resize(static_cast<std::size_t>(n));
     int pool = n;
     for (int round = 0; round < theta; ++round) {
-      // The span path's relaxed_scores rejects a pool of fewer than two
-      // gradients (which f = 0 reaches on the final round); mirror it.
+      // Like the reference rule's relaxed Krum scores, reject a pool of fewer
+      // than two gradients (which f = 0 reaches on the final round).
       ABFT_REQUIRE(pool >= 2, "relaxed krum scores need at least two gradients");
       const int neighbors = std::max(1, pool - f - 2);
       int best = -1;
@@ -246,8 +206,8 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
 
   // Stage 2: per coordinate, average the beta selected entries closest to
   // the selected median.  Columns come from the contiguous workspace
-  // transpose.  In exact mode the selection replicates the span path's two
-  // sorts verbatim so tie-breaking among equidistant entries is
+  // transpose.  In exact mode the selection replicates the reference rule's
+  // two sorts verbatim so tie-breaking among equidistant entries is
   // bit-identical; fast mode drops the second O(theta log theta) sort — in
   // a sorted column the beta entries closest to the median form a
   // contiguous window, found by an O(beta) two-pointer sweep and summed

@@ -17,7 +17,6 @@ class CenteredClipAggregator final : public GradientAggregator {
   /// tau <= 0 selects the adaptive radius (median distance to the pivot).
   explicit CenteredClipAggregator(double tau = 0.0, int iterations = 3);
 
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "cclip"; }
@@ -37,7 +36,6 @@ class ClippedInputAggregator final : public GradientAggregator {
  public:
   explicit ClippedInputAggregator(const GradientAggregator& inner);
 
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "clipped-input"; }

@@ -108,7 +108,6 @@ class CoresetReducer final : public GradientAggregator {
   /// kAdaptiveSize, adaptive or nonzero strata with the wrong kind).
   explicit CoresetReducer(std::string_view rule, CoresetConfig config = {});
 
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return label_; }

@@ -7,19 +7,6 @@
 
 namespace abft::agg {
 
-Vector CwmedAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  const std::size_t n = gradients.size();
-  Vector out(dim);
-  std::vector<double> column(n);
-  for (int k = 0; k < dim; ++k) {
-    for (std::size_t i = 0; i < n; ++i) column[i] = gradients[i][k];
-    std::sort(column.begin(), column.end());
-    out[k] = (n % 2 == 1) ? column[n / 2] : 0.5 * (column[n / 2 - 1] + column[n / 2]);
-  }
-  return out;
-}
-
 namespace {
 
 /// Rank-classified median (see rank_kernel.hpp): for duplicate-free columns

@@ -12,7 +12,7 @@ namespace abft::agg {
 namespace {
 
 // One Weiszfeld driver, two reduction policies.  ExactReduce's sequential
-// loops keep the batched path bit-compatible with the legacy span path;
+// loops are the exact mode's (bit-identical to the committed goldens);
 // LanedReduce (AggMode::fast) carries independent partial sums so the
 // distance and step-length reductions vectorize without -ffast-math.  The
 // damping, tolerance and iteration schedule live in the shared driver, so
@@ -166,41 +166,6 @@ void weiszfeld_into_f32(Vector& out, const GradientBatch& batch, AggregatorWorks
 
 }  // namespace
 
-Vector geometric_median(std::span<const Vector> points, double tolerance, int max_iterations) {
-  ABFT_REQUIRE(!points.empty(), "geometric median of empty family");
-  Vector current = linalg::mean(points);
-  const double scale = std::max(1.0, current.norm());
-  // The numerator is hoisted out of the iteration loop and re-zeroed in
-  // place, so Weiszfeld allocates nothing after the first update.
-  Vector numerator(current.dim());
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    // Damped Weiszfeld update: weights 1 / max(dist, floor) sidestep the
-    // singularity when the iterate coincides with an input point.
-    auto num = numerator.coefficients();
-    std::fill(num.begin(), num.end(), 0.0);
-    double denominator = 0.0;
-    for (const auto& p : points) {
-      const double dist = std::max(linalg::distance(current, p), 1e-12 * scale);
-      const double w = 1.0 / dist;
-      numerator.add_scaled(w, p);
-      denominator += w;
-    }
-    // next = numerator / denominator, formed in place while accumulating the
-    // step length ||next - current||.
-    const double inv = 1.0 / denominator;
-    auto cur = current.coefficients();
-    double moved_sq = 0.0;
-    for (std::size_t k = 0; k < cur.size(); ++k) {
-      const double next_k = num[k] * inv;
-      const double diff = next_k - cur[k];
-      moved_sq += diff * diff;
-      cur[k] = next_k;
-    }
-    if (std::sqrt(moved_sq) <= tolerance * scale) break;
-  }
-  return current;
-}
-
 void geometric_median_into(Vector& out, const GradientBatch& batch,
                            AggregatorWorkspace& ws, double tolerance, int max_iterations) {
   const int n = batch.rows();
@@ -219,11 +184,6 @@ void geometric_median_into(Vector& out, const GradientBatch& batch,
   }
 }
 
-Vector GeometricMedianAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  validate_gradients(gradients, f);
-  return geometric_median(gradients);
-}
-
 void GeometricMedianAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                                AggregatorWorkspace& ws) const {
   validate_batch(batch, f);
@@ -234,31 +194,13 @@ GmomAggregator::GmomAggregator(int num_buckets) : num_buckets_(num_buckets) {
   ABFT_REQUIRE(num_buckets >= 0, "gmom bucket count must be non-negative");
 }
 
-Vector GmomAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  const int n = static_cast<int>(gradients.size());
-  const int k = std::min(n, num_buckets_ > 0 ? num_buckets_ : 2 * f + 1);
-  // Contiguous buckets of near-equal size (deterministic partition).
-  std::vector<Vector> bucket_means;
-  bucket_means.reserve(static_cast<std::size_t>(k));
-  int start = 0;
-  for (int b = 0; b < k; ++b) {
-    const int size = (n - start) / (k - b);
-    Vector sum(dim);
-    for (int i = start; i < start + size; ++i) sum += gradients[static_cast<std::size_t>(i)];
-    bucket_means.push_back(sum / static_cast<double>(size));
-    start += size;
-  }
-  return geometric_median(bucket_means);
-}
-
 void GmomAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                     AggregatorWorkspace& ws) const {
   const int d = validate_batch(batch, f);
   const int n = batch.rows();
   const int k = std::min(n, num_buckets_ > 0 ? num_buckets_ : 2 * f + 1);
-  // Bucket means go into the auxiliary batch (same deterministic partition
-  // as the span path), then the batched Weiszfeld runs over them.
+  // Bucket means go into the auxiliary batch (contiguous near-equal
+  // buckets, a deterministic partition), then the batched Weiszfeld runs over them.
   ws.aux_batch.reshape(k, d);
   int start = 0;
   for (int b = 0; b < k; ++b) {

@@ -7,47 +7,6 @@
 
 namespace abft::agg {
 
-namespace {
-
-std::vector<double> scores_with_neighbors(std::span<const Vector> gradients, int num_neighbors) {
-  std::vector<double> score(gradients.size(), 0.0);
-  std::vector<double> dists;
-  dists.reserve(gradients.size() - 1);
-  for (std::size_t i = 0; i < gradients.size(); ++i) {
-    dists.clear();
-    for (std::size_t j = 0; j < gradients.size(); ++j) {
-      if (i == j) continue;
-      const double d = linalg::distance(gradients[i], gradients[j]);
-      dists.push_back(d * d);
-    }
-    std::nth_element(dists.begin(), dists.begin() + (num_neighbors - 1), dists.end());
-    score[i] = std::accumulate(dists.begin(), dists.begin() + num_neighbors, 0.0);
-  }
-  return score;
-}
-
-}  // namespace
-
-std::vector<double> KrumAggregator::scores(std::span<const Vector> gradients, int f) {
-  const int n = static_cast<int>(gradients.size());
-  ABFT_REQUIRE(n > 2 * f + 2, "krum needs n > 2f + 2");
-  return scores_with_neighbors(gradients, n - f - 2);
-}
-
-std::vector<double> KrumAggregator::relaxed_scores(std::span<const Vector> gradients, int f) {
-  const int n = static_cast<int>(gradients.size());
-  ABFT_REQUIRE(n >= 2, "relaxed krum scores need at least two gradients");
-  ABFT_REQUIRE(f >= 0, "fault bound must be non-negative");
-  return scores_with_neighbors(gradients, std::max(1, n - f - 2));
-}
-
-Vector KrumAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  validate_gradients(gradients, f);
-  const auto score = scores(gradients, f);
-  const auto best = std::min_element(score.begin(), score.end()) - score.begin();
-  return gradients[static_cast<std::size_t>(best)];
-}
-
 void KrumAggregator::batched_scores(const GradientBatch& batch, int f,
                                     AggregatorWorkspace& ws) {
   const int n = batch.rows();
@@ -87,22 +46,6 @@ void KrumAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int
 
 MultiKrumAggregator::MultiKrumAggregator(int m) : m_(m) {
   ABFT_REQUIRE(m >= 0, "multi-krum m must be non-negative");
-}
-
-Vector MultiKrumAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  const int n = static_cast<int>(gradients.size());
-  const int m = m_ > 0 ? m_ : n - f;
-  ABFT_REQUIRE(m <= n, "multi-krum m must be at most n");
-  const auto score = KrumAggregator::scores(gradients, f);
-  std::vector<int> order(gradients.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&score](int a, int b) {
-    return score[static_cast<std::size_t>(a)] < score[static_cast<std::size_t>(b)];
-  });
-  Vector sum(dim);
-  for (int i = 0; i < m; ++i) sum += gradients[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
-  return sum / static_cast<double>(m);
 }
 
 void MultiKrumAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,

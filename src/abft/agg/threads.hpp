@@ -1,10 +1,9 @@
 // Persistent worker-thread pool for round-level and kernel-level
-// parallelism.  The legacy parallel_for in batch.hpp spawns and joins a
-// fresh thread team on every call (tens of microseconds); a ThreadPool pays
-// that cost once and then dispatches static chunks over sleeping workers, so
-// drivers can parallelize per-round work (honest-gradient computation, the
-// p2p per-node filter loop) as well as the coordinate/pair loops inside the
-// aggregation kernels.
+// parallelism, and the library's only thread-dispatch mechanism.  It spawns
+// its workers once, then dispatches static chunks over them (they sleep
+// between jobs), so drivers can parallelize per-round work (honest-gradient
+// computation, the p2p per-node filter loop) as well as the coordinate/pair
+// loops inside the aggregation kernels.
 //
 // Determinism contract: parallel_for partitions [begin, end) into at most
 // `width` contiguous chunks and runs fn(lo, hi) on each exactly once.  The

@@ -2,10 +2,10 @@
 // instead of its gradient (paper, Section 4.1 step S1) or stay silent (in
 // which case the synchronous server eliminates it).  Adaptive behaviours may
 // inspect the honest agents' gradients ("omniscient" adversary), the
-// strongest adversary consistent with the paper's model.
+// strongest adversary consistent with the paper's model.  A fault writes
+// its message straight into the driver's payload-batch row (emit_into).
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string_view>
 
@@ -15,18 +15,6 @@
 namespace abft::attack {
 
 using linalg::Vector;
-
-/// Everything a fault behaviour may observe in one round.
-struct AttackContext {
-  /// Server's current estimate x_t (broadcast to everyone).
-  const Vector& estimate;
-  /// Gradient the agent would send if it were honest (it knows its own cost).
-  const Vector& true_gradient;
-  /// Gradients the honest agents send this round (omniscient adversary).
-  std::span<const Vector> honest_gradients;
-  /// Iteration number t.
-  int round = 0;
-};
 
 /// Read-only view of the honest gradients of one round stored as rows of a
 /// row-major block (the driver's payload batch): gradient k lives at row
@@ -47,8 +35,7 @@ class HonestRowsView {
   [[nodiscard]] int dim() const noexcept { return dim_; }
   [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
 
-  /// The k-th honest gradient of the round (same order as the legacy
-  /// AttackContext::honest_gradients span).
+  /// The k-th honest gradient of the round, in the driver's agent order.
   [[nodiscard]] std::span<const double> row(int k) const noexcept {
     const auto r = static_cast<std::size_t>(rows_[static_cast<std::size_t>(k)]);
     return {data_ + r * static_cast<std::size_t>(dim_), static_cast<std::size_t>(dim_)};
@@ -60,15 +47,17 @@ class HonestRowsView {
   std::span<const int> rows_{};
 };
 
-/// The batched-ingest counterpart of AttackContext: the honest gradients are
-/// rows of the driver's payload batch and the true gradient is a raw span
-/// (typically the fault's own batch row, pre-filled by the driver).
+/// Everything a fault behaviour may observe in one round.  The honest
+/// gradients are rows of the driver's payload batch and the true gradient is
+/// a raw span (typically the fault's own batch row, pre-filled by the
+/// driver).
 struct RowAttackContext {
-  /// Server's / reference node's current estimate x_t.
+  /// Server's / reference node's current estimate x_t (broadcast to
+  /// everyone).
   const Vector& estimate;
-  /// Gradient the agent would send if it were honest.  May alias the output
-  /// row handed to emit_into — implementations must not read it at an index
-  /// they have already written.
+  /// Gradient the agent would send if it were honest (it knows its own
+  /// cost).  May alias the output row handed to emit_into — implementations
+  /// must not read it at an index they have already written.
   std::span<const double> true_gradient;
   /// Honest gradients of the round (omniscient adversary).
   HonestRowsView honest;
@@ -80,24 +69,17 @@ class FaultModel {
  public:
   virtual ~FaultModel() = default;
 
-  /// The vector the faulty agent sends, or std::nullopt to stay silent.
-  [[nodiscard]] virtual std::optional<Vector> emit(const AttackContext& context,
-                                                   util::Rng& rng) const = 0;
-
-  /// In-place row mutation for the batched ingest path: writes the faulty
-  /// message straight into `out` (a batch row of dimension
-  /// context.true_gradient.size()) and returns true, or returns false to
-  /// stay silent (out is then unspecified).  Must consume the rng stream and
-  /// produce bit-identical payloads to emit() — the parity tests enforce
-  /// this for every built-in fault.  The default adapts through emit()
-  /// (materializing the legacy context, which allocates), so third-party
-  /// fault models keep working with the batched drivers unchanged.
-  /// Drivers with agg_threads > 1 call this (and emit()) concurrently for
-  /// distinct agents — each call gets its own out row and rng, but the
-  /// FaultModel object is shared, so implementations must be safe to call
-  /// concurrently (all built-in faults are stateless).
+  /// Writes the faulty agent's message straight into `out` (a batch row of
+  /// dimension context.true_gradient.size()) and returns true, or returns
+  /// false to stay silent (out is then unspecified).  The payload and the
+  /// rng draws must not depend on whether `out` aliases
+  /// context.true_gradient — the attack parity tests check both calling
+  /// conventions for every built-in fault.  Drivers with agg_threads > 1
+  /// call this concurrently for distinct agents — each call gets its own out
+  /// row and rng, but the FaultModel object is shared, so implementations
+  /// must be safe to call concurrently (all built-in faults are stateless).
   [[nodiscard]] virtual bool emit_into(std::span<double> out, const RowAttackContext& context,
-                                       util::Rng& rng) const;
+                                       util::Rng& rng) const = 0;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };

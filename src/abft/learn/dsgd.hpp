@@ -50,9 +50,9 @@ struct DsgdConfig {
   /// bit-identical at every thread count) and the coordinate/pair loops
   /// inside the gradient filter.  1 = fully single-threaded.
   int agg_threads = 1;
-  /// Numerical mode of the gradient filter (see agg/batch.hpp): exact keeps
-  /// bit-parity with the span path, fast enables the relaxed-parity
-  /// vectorized kernels.
+  /// Numerical mode of the gradient filter (see agg/batch.hpp): exact is
+  /// bit-identical to the committed exact goldens, fast enables the
+  /// relaxed-parity vectorized kernels.
   agg::AggMode agg_mode = agg::AggMode::exact;
   /// Compute precision of the filter's fast lane (agg/batch.hpp): f32
   /// demotes the bandwidth-bound kernel inputs.  Only meaningful with

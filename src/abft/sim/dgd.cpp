@@ -48,18 +48,6 @@ DgdSimulation::DgdSimulation(std::vector<AgentSpec> roster, DgdConfig config)
   }
 }
 
-void DgdSimulation::set_honest_gradient_fn(HonestGradientFn fn) {
-  ABFT_REQUIRE(static_cast<bool>(fn), "honest gradient function must be callable");
-  honest_writer_ = [fn = std::move(fn)](int agent, const Vector& estimate, int round,
-                                        std::span<double> out) {
-    const Vector grad = fn(agent, estimate, round);
-    ABFT_REQUIRE(grad.dim() == static_cast<int>(out.size()),
-                 "honest gradient has the wrong dimension");
-    const auto src = grad.coefficients();
-    std::copy(src.begin(), src.end(), out.begin());
-  };
-}
-
 void DgdSimulation::set_honest_gradient_writer(HonestGradientWriter writer) {
   ABFT_REQUIRE(static_cast<bool>(writer), "honest gradient writer must be callable");
   honest_writer_ = std::move(writer);

@@ -54,7 +54,8 @@ struct DgdConfig {
   /// 1 = fully single-threaded.  Results are bit-identical for every value.
   int agg_threads = 1;
   /// Numerical mode of the gradient filter: AggMode::exact (default) keeps
-  /// the kernels bit-compatible with the legacy span path; AggMode::fast
+  /// the kernels bit-identical to the committed exact goldens, and within
+  /// 1e-12 of the reference rules in tests/; AggMode::fast
   /// enables the relaxed-parity vectorized kernels (tolerance-bounded, see
   /// agg/batch.hpp).
   agg::AggMode agg_mode = agg::AggMode::exact;
@@ -78,22 +79,15 @@ class DgdSimulation {
   /// update — lets tests check the phi_t condition of Theorem 3 directly.
   using Observer = engine::RoundObserver;
 
-  /// Computes an honest agent's reply; the default sends cost->gradient(x).
-  /// The learning workload substitutes stochastic mini-batch gradients.
-  /// Called concurrently (on distinct agents) when agg_threads > 1, so a
-  /// custom fn must be thread-safe.
-  using HonestGradientFn = std::function<Vector(int agent, const Vector& estimate, int round)>;
-
-  /// Row-writer variant: computes the reply straight into a payload-batch
-  /// row of dimension box.dim().  Same thread-safety contract.
+  /// Computes an honest agent's reply straight into a payload-batch row of
+  /// dimension box.dim(); the default writes cost->gradient(x).  Called
+  /// concurrently (on distinct agents) when agg_threads > 1, so a custom
+  /// writer must be thread-safe.
   using HonestGradientWriter =
       std::function<void(int agent, const Vector& estimate, int round, std::span<double> out)>;
 
   DgdSimulation(std::vector<AgentSpec> roster, DgdConfig config);
 
-  /// Adapter for the legacy allocating fn (copies the returned Vector into
-  /// the batch row); prefer set_honest_gradient_writer on hot paths.
-  void set_honest_gradient_fn(HonestGradientFn fn);
   void set_honest_gradient_writer(HonestGradientWriter writer);
   void set_observer(Observer observer);
 

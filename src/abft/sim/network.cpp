@@ -12,17 +12,6 @@ SyncNetwork::SyncNetwork(double drop_probability, std::uint64_t seed)
                "drop probability must be in [0, 1]");
 }
 
-std::optional<Vector> SyncNetwork::transmit(int agent, int round,
-                                            std::optional<Vector> payload) {
-  ++messages_sent_;
-  if (payload.has_value() && drop_probability_ > 0.0 && rng_.uniform() < drop_probability_) {
-    payload.reset();
-    ++messages_dropped_;
-  }
-  if (recording_) transcript_.push_back(GradientMessage{agent, round, payload});
-  return payload;
-}
-
 bool SyncNetwork::transmit_row(int agent, int round, std::span<const double> payload,
                                std::span<double> dst) {
   ++messages_sent_;

@@ -1,8 +1,8 @@
-// Attack-path parity: every fault behaviour applied through the new in-place
-// row mutation API (emit_into on batch rows) must match the legacy
-// std::vector<Vector> path (emit) bit for bit — same payloads, same rng
-// stream consumption — including when the output row aliases the true
-// gradient, which is how the batched drivers call it.
+// Attack-path contracts of emit_into: a fault must give the same bits and
+// consume the same rng stream whether its output row aliases the true
+// gradient (how the batched drivers call it) or is a separate row, must
+// behave sensibly when a round has no honest rows, and may depend only on
+// the sequence of honest rows its view resolves to.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -15,20 +15,18 @@
 namespace {
 
 using namespace abft;
-using attack::AttackContext;
 using attack::FaultModel;
 using attack::HonestRowsView;
 using attack::RowAttackContext;
 using linalg::Vector;
 
 /// A deterministic but irregular honest family plus estimate/true gradient,
-/// materialized both as Vectors (legacy) and as rows of a GradientBatch
-/// (batched) so the two paths see identical inputs.
+/// stored as rows of a GradientBatch (honest rows first, the faulty row
+/// last) the way the drivers lay out a round's payloads.
 struct ParityFixture {
   int d = 7;
   Vector estimate;
   Vector true_gradient;
-  std::vector<Vector> honest;
   agg::GradientBatch payloads;  // honest rows at 0..h-1, faulty row last
   std::vector<int> honest_rows;
 
@@ -45,13 +43,8 @@ struct ParityFixture {
       Vector g(d);
       for (int k = 0; k < d; ++k) g[k] = rng.normal(static_cast<double>(i), 1.5);
       payloads.set_row(i, g);
-      honest.push_back(std::move(g));
       honest_rows.push_back(i);
     }
-  }
-
-  [[nodiscard]] AttackContext legacy_context(int round = 3) const {
-    return AttackContext{estimate, true_gradient, honest, round};
   }
 
   [[nodiscard]] RowAttackContext row_context(std::span<const double> tg, int round = 3) const {
@@ -60,98 +53,101 @@ struct ParityFixture {
   }
 };
 
-/// Runs both paths from identical rng states and checks payload and rng
-/// stream parity.  `alias` additionally exercises the drivers' calling
-/// convention where the output row holds (and aliases) the true gradient.
-void expect_parity(const FaultModel& fault, int honest_count = 4, int round = 3) {
-  for (const bool alias : {false, true}) {
-    ParityFixture fx(honest_count);
-    util::Rng legacy_rng(99);
-    util::Rng row_rng(99);
+/// The outcome of one emit_into call.
+struct Emitted {
+  bool sent = false;
+  std::vector<double> payload;
+};
 
-    const auto legacy = fault.emit(fx.legacy_context(round), legacy_rng);
+/// Runs emit_into from identical rng states into a separate row and into
+/// the faulty batch row pre-filled with (and aliasing) the true gradient;
+/// checks that both calls give the same bits and leave the generators in
+/// lockstep.  Returns the separate-row outcome.
+Emitted expect_alias_parity(const FaultModel& fault, int honest_count = 4, int round = 3) {
+  ParityFixture fx(honest_count);
+  util::Rng separate_rng(99);
+  util::Rng alias_rng(99);
 
-    const int faulty_row = static_cast<int>(fx.honest_rows.size());
-    fx.payloads.set_row(faulty_row, fx.true_gradient);
-    auto out = fx.payloads.row(faulty_row);
-    std::vector<double> tg_copy(out.begin(), out.end());
-    const std::span<const double> tg =
-        alias ? std::span<const double>(out) : std::span<const double>(tg_copy);
-    const bool sent = fault.emit_into(out, fx.row_context(tg, round), row_rng);
+  Emitted separate;
+  separate.payload.assign(static_cast<std::size_t>(fx.d), 0.0);
+  separate.sent = fault.emit_into(separate.payload,
+                                  fx.row_context(fx.true_gradient.coefficients(), round),
+                                  separate_rng);
 
-    ASSERT_EQ(sent, legacy.has_value()) << fault.name() << " alias=" << alias;
-    if (sent) {
-      for (int k = 0; k < fx.d; ++k) {
-        EXPECT_EQ(out[static_cast<std::size_t>(k)], (*legacy)[k])
-            << fault.name() << " alias=" << alias << " coordinate " << k;
-      }
-    }
-    // Identical stream consumption: the generators must continue in lockstep.
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(legacy_rng.next_u64(), row_rng.next_u64()) << fault.name();
+  const int faulty_row = static_cast<int>(fx.honest_rows.size());
+  fx.payloads.set_row(faulty_row, fx.true_gradient);
+  const auto out = fx.payloads.row(faulty_row);
+  const bool alias_sent = fault.emit_into(out, fx.row_context(out, round), alias_rng);
+
+  EXPECT_EQ(alias_sent, separate.sent) << fault.name();
+  if (alias_sent && separate.sent) {
+    for (int k = 0; k < fx.d; ++k) {
+      EXPECT_EQ(out[static_cast<std::size_t>(k)], separate.payload[static_cast<std::size_t>(k)])
+          << fault.name() << " coordinate " << k;
     }
   }
+  // Identical stream consumption: the generators must continue in lockstep.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(separate_rng.next_u64(), alias_rng.next_u64()) << fault.name();
+  }
+  return separate;
 }
 
-TEST(AttackParity, GradientReverse) { expect_parity(attack::GradientReverseFault{}); }
+/// The true gradient of the fixture, scaled coordinate-wise by `scale`.
+std::vector<double> scaled_true_gradient(double scale) {
+  const ParityFixture fx(0);
+  std::vector<double> expected;
+  for (const double v : fx.true_gradient.coefficients()) expected.push_back(v * scale);
+  return expected;
+}
 
-TEST(AttackParity, RandomGaussian) { expect_parity(attack::RandomGaussianFault{200.0}); }
+TEST(AttackParity, GradientReverse) { expect_alias_parity(attack::GradientReverseFault{}); }
 
-TEST(AttackParity, Zero) { expect_parity(attack::ZeroFault{}); }
+TEST(AttackParity, RandomGaussian) { expect_alias_parity(attack::RandomGaussianFault{200.0}); }
 
-TEST(AttackParity, SignFlipScale) { expect_parity(attack::SignFlipScaleFault{3.5}); }
+TEST(AttackParity, Zero) { expect_alias_parity(attack::ZeroFault{}); }
+
+TEST(AttackParity, SignFlipScale) { expect_alias_parity(attack::SignFlipScaleFault{3.5}); }
 
 TEST(AttackParity, Constant) {
   ParityFixture fx;
   Vector payload(fx.d);
   for (int k = 0; k < fx.d; ++k) payload[k] = 0.25 * k - 1.0;
-  expect_parity(attack::ConstantFault{payload});
+  expect_alias_parity(attack::ConstantFault{payload});
 }
 
 TEST(AttackParity, RotatingOverRounds) {
   const attack::RotatingFault fault(5.0, 0.7);
-  for (int round = 0; round < 5; ++round) expect_parity(fault, 4, round);
+  for (int round = 0; round < 5; ++round) expect_alias_parity(fault, 4, round);
 }
 
-TEST(AttackParity, Silent) { expect_parity(attack::SilentFault{}); }
+TEST(AttackParity, Silent) { EXPECT_FALSE(expect_alias_parity(attack::SilentFault{}).sent); }
 
-TEST(AttackParity, LittleIsEnough) { expect_parity(attack::LittleIsEnoughFault{1.5}); }
+TEST(AttackParity, LittleIsEnough) { expect_alias_parity(attack::LittleIsEnoughFault{1.5}); }
 
 TEST(AttackParity, LittleIsEnoughNoHonest) {
-  expect_parity(attack::LittleIsEnoughFault{1.5}, /*honest_count=*/0);
+  // No honest rows to hide among: the fault sends its own true gradient.
+  const auto emitted = expect_alias_parity(attack::LittleIsEnoughFault{1.5}, /*honest_count=*/0);
+  ASSERT_TRUE(emitted.sent);
+  EXPECT_EQ(emitted.payload, scaled_true_gradient(1.0));
 }
 
-TEST(AttackParity, MeanReverse) { expect_parity(attack::MeanReverseFault{2.0}); }
+TEST(AttackParity, MeanReverse) { expect_alias_parity(attack::MeanReverseFault{2.0}); }
 
 TEST(AttackParity, MeanReverseNoHonest) {
-  expect_parity(attack::MeanReverseFault{2.0}, /*honest_count=*/0);
+  // No honest mean to reverse: the fault reverses its own true gradient.
+  const auto emitted = expect_alias_parity(attack::MeanReverseFault{2.0}, /*honest_count=*/0);
+  ASSERT_TRUE(emitted.sent);
+  EXPECT_EQ(emitted.payload, scaled_true_gradient(-2.0));
 }
 
-TEST(AttackParity, MimicSmallest) { expect_parity(attack::MimicSmallestFault{}); }
+TEST(AttackParity, MimicSmallest) { expect_alias_parity(attack::MimicSmallestFault{}); }
 
 TEST(AttackParity, MimicSmallestNoHonest) {
-  expect_parity(attack::MimicSmallestFault{}, /*honest_count=*/0);
-}
-
-/// A third-party fault that only implements the legacy emit(): the base
-/// class adapter must feed it a faithfully reconstructed legacy context.
-class LegacyOnlyFault final : public FaultModel {
- public:
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override {
-    // Mixes every context field with one rng draw so any adapter slip shows.
-    Vector out = context.true_gradient;
-    for (const auto& g : context.honest_gradients) out += g;
-    out.add_scaled(0.5, context.estimate);
-    out *= 1.0 + 0.01 * static_cast<double>(context.round);
-    out[0] += rng.uniform();
-    return out;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override { return "legacy-only"; }
-};
-
-TEST(AttackParity, DefaultAdapterReconstructsLegacyContext) {
-  expect_parity(LegacyOnlyFault{});
+  // Nobody to mimic: the fault sends its own true gradient.
+  const auto emitted = expect_alias_parity(attack::MimicSmallestFault{}, /*honest_count=*/0);
+  ASSERT_TRUE(emitted.sent);
+  EXPECT_EQ(emitted.payload, scaled_true_gradient(1.0));
 }
 
 TEST(AttackParity, RowIndirectionInvariant) {

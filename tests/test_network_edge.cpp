@@ -4,6 +4,7 @@
 // usable-f clamp).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "abft/agg/registry.hpp"
@@ -53,21 +54,22 @@ TEST(SyncNetworkEdge, SilentPayloadConsumesNoDropRandomness) {
 }
 
 TEST(SyncNetworkEdge, TransmitRowMatchesLegacyTransmit) {
-  sim::SyncNetwork row_net(0.4, 99);
-  sim::SyncNetwork legacy_net(0.4, 99);
-  std::vector<double> payload{1.5, -2.5};
-  std::vector<double> dst(2, 0.0);
-  for (int k = 0; k < 40; ++k) {
-    const bool delivered = row_net.transmit_row(0, k, payload, dst);
-    const auto received =
-        legacy_net.transmit(0, k, Vector(std::vector<double>(payload.begin(), payload.end())));
-    ASSERT_EQ(delivered, received.has_value()) << "round " << k;
-    if (delivered) {
-      EXPECT_EQ(dst[0], (*received)[0]);
-      EXPECT_EQ(dst[1], (*received)[1]);
-    }
+  // The delivery pattern (1 = delivered) that seed 99 at drop p = 0.4 gave
+  // the earlier Vector-returning transmit: one uniform draw per non-silent
+  // message, in call order.  Pinning it keeps the rng consumption, and so
+  // every drop-injection golden, unchanged.
+  const std::string expected = "0110111111010001110011110100111010110011";
+  sim::SyncNetwork net(0.4, 99);
+  const std::vector<double> payload{1.5, -2.5};
+  long drops = 0;
+  for (int k = 0; k < static_cast<int>(expected.size()); ++k) {
+    std::vector<double> dst(2, 0.0);
+    const bool delivered = net.transmit_row(0, k, payload, dst);
+    ASSERT_EQ(delivered, expected[static_cast<std::size_t>(k)] == '1') << "round " << k;
+    EXPECT_EQ(dst, delivered ? payload : std::vector<double>(2, 0.0)) << "round " << k;
+    if (!delivered) ++drops;
   }
-  EXPECT_EQ(row_net.messages_dropped(), legacy_net.messages_dropped());
+  EXPECT_EQ(net.messages_dropped(), drops);
 }
 
 // ------------------------------ driver level --------------------------------

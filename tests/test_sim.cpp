@@ -3,6 +3,10 @@
 // callbacks, determinism, and trace series.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "abft/agg/average.hpp"
 #include "abft/agg/cge.hpp"
 #include "abft/attack/simple_faults.hpp"
@@ -47,8 +51,10 @@ TEST(Roster, RejectsNullCosts) {
 
 TEST(Network, DropInjectionCountsMessages) {
   sim::SyncNetwork network(1.0, 7);  // drop everything
-  const auto delivered = network.transmit(0, 0, Vector{1.0});
-  EXPECT_FALSE(delivered.has_value());
+  const std::vector<double> payload{1.0};
+  std::vector<double> dst{-5.0};
+  EXPECT_FALSE(network.transmit_row(0, 0, payload, dst));
+  EXPECT_EQ(dst[0], -5.0);  // a dropped message writes nothing
   EXPECT_EQ(network.messages_sent(), 1);
   EXPECT_EQ(network.messages_dropped(), 1);
   EXPECT_THROW(sim::SyncNetwork(1.5, 0), std::invalid_argument);
@@ -57,11 +63,14 @@ TEST(Network, DropInjectionCountsMessages) {
 TEST(Network, TranscriptRecordsWhenEnabled) {
   sim::SyncNetwork network(0.0, 0);
   network.record_transcript(true);
-  network.transmit(3, 1, Vector{2.0});
-  network.transmit(4, 1, std::nullopt);
+  const std::vector<double> payload{2.0};
+  std::vector<double> dst(1);
+  network.transmit_row(3, 1, payload, dst);
+  network.transmit_row(4, 1, {}, dst);  // silent
   ASSERT_EQ(network.transcript().size(), 2u);
   EXPECT_EQ(network.transcript()[0].agent, 3);
-  EXPECT_TRUE(network.transcript()[0].payload.has_value());
+  ASSERT_TRUE(network.transcript()[0].payload.has_value());
+  EXPECT_EQ(*network.transcript()[0].payload, (Vector{2.0}));
   EXPECT_FALSE(network.transcript()[1].payload.has_value());
 }
 
@@ -149,8 +158,10 @@ TEST(Dgd, CustomHonestGradientFunction) {
   TwoAgentFixture fx;
   sim::DgdSimulation simulation(fx.roster(), fx.config(10));
   // Constant pull toward -x halves the estimate each unit step.
-  simulation.set_honest_gradient_fn(
-      [](int /*agent*/, const Vector& x, int /*round*/) { return x; });
+  simulation.set_honest_gradient_writer(
+      [](int /*agent*/, const Vector& x, int /*round*/, std::span<double> out) {
+        std::copy(x.coefficients().begin(), x.coefficients().end(), out.begin());
+      });
   const agg::AverageAggregator average;
   const auto trace = simulation.run(average);
   // x_{t+1} = x_t (1 - eta_t) with eta_0 = 0.5 -> strictly decreasing norm.

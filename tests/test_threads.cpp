@@ -9,6 +9,8 @@
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "abft/agg/batch.hpp"
@@ -85,6 +87,22 @@ TEST(ThreadPool, NestedDispatchFallsBackToSerial) {
   for (const auto& h : inner_hits) EXPECT_EQ(h.load(), kOuter);
 }
 
+TEST(ThreadPool, WorkspaceRunParallelWithoutPoolRunsOnCaller) {
+  // No pool means no threads, whatever width the workspace asks for: the
+  // whole range is one call on the calling thread, an empty range none.
+  agg::AggregatorWorkspace ws;
+  ws.parallel_threads = 4;
+  std::vector<std::pair<int, int>> chunks;
+  ws.run_parallel(3, 3, [&](int lo, int hi) { chunks.emplace_back(lo, hi); });
+  EXPECT_TRUE(chunks.empty());
+  const auto caller = std::this_thread::get_id();
+  ws.run_parallel(2, 40, [&](int lo, int hi) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    chunks.emplace_back(lo, hi);
+  });
+  EXPECT_EQ(chunks, (std::vector<std::pair<int, int>>{{2, 40}}));
+}
+
 TEST(ThreadPool, WorkspaceRunParallelNestedIsSafe) {
   // The kernel-facing wrapper: a workspace whose pool is mid-job falls back
   // the same way, so an aggregation kernel invoked from a round-level phase
@@ -134,18 +152,6 @@ TEST(ThreadPool, CallerChunkExceptionWinsAndPoolStaysUsable) {
   // The job slot must be clean again: a fresh job runs normally.
   std::vector<std::atomic<int>> hits(8);
   pool.parallel_for(0, 8, 4, [&](int lo, int hi) {
-    for (int i = lo; i < hi; ++i) hits_add(hits, i);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SpawningParallelForZeroAndSmallRanges) {
-  // The legacy spawning fallback in batch.hpp shares the clamping rules.
-  int calls = 0;
-  agg::parallel_for(3, 3, 4, [&](int, int) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::vector<std::atomic<int>> hits(2);
-  agg::parallel_for(0, 2, 8, [&](int lo, int hi) {
     for (int i = lo; i < hi; ++i) hits_add(hits, i);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
